@@ -1,33 +1,29 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{Instances, Tables}
+import repro.exp.Tables
 
 /** Reproduces paper Table 3 (network statistics). Prints one `[table3]` row
   * per network; EXPERIMENTS.md records these against the paper's numbers.
   */
 class Table3NetworkStatsBench extends SparkSpec {
 
-  private lazy val stats = Tables.table3(spark, Instances.all)
+  private lazy val stats = Tables.table3Cells(spark)
 
   test("print Table 3 rows") {
-    println("[table3] network          n          m   maxOut    maxIn  clusCoef  avgDist")
-    stats.foreach { s =>
-      val avg = if (s.avgDistance.isNaN) "-" else f"${s.avgDistance}%.2f"
-      println(f"[table3] ${s.name}%-14s ${s.n}%8d ${s.m}%10d ${s.maxOut}%8d ${s.maxIn}%8d ${s.clusteringCoef}%9.2f $avg%8s")
-    }
+    Tables.render(3, Tables.table3Lines(stats)).foreach(println)
     assert(stats.size == 8)
   }
 
   test("Karate row matches the paper exactly on n, m, Δ and closely on stats") {
-    val s = stats.find(_.name == "Karate").get
+    val s = stats("Karate")
     assert(s.n == 34 && s.m == 156 && s.maxOut == 17 && s.maxIn == 17)
     assert(math.abs(s.clusteringCoef - 0.26) < 0.02)
     assert(math.abs(s.avgDistance - 2.41) < 0.05)
   }
 
   test("surrogates match the paper's n (and m where exact)") {
-    val byName = stats.map(s => s.name -> s).toMap
+    val byName = stats
     assert(byName("Physicians").n == 241 && byName("Physicians").m == 1098)
     assert(byName("ca-GrQc").n == 5242)
     assert(byName("Wiki-Vote").n == 7115 && byName("Wiki-Vote").m == 103689)
@@ -36,7 +32,7 @@ class Table3NetworkStatsBench extends SparkSpec {
   }
 
   test("ca-GrQc surrogate is strongly clustered; BA_s is tree-like") {
-    val byName = stats.map(s => s.name -> s).toMap
+    val byName = stats
     // Paper reports 0.63; the clique-community surrogate lands near 0.3 —
     // far above any PA-style graph (BA_d: 0.06), which is the property the
     // experiments depend on.
@@ -46,13 +42,13 @@ class Table3NetworkStatsBench extends SparkSpec {
   }
 
   test("hub-heavy surrogates have large maximum degrees (paper's skew)") {
-    val byName = stats.map(s => s.name -> s).toMap
+    val byName = stats
     assert(byName("Wiki-Vote").maxIn > 100)
     assert(byName("BA_d").maxOut > 50 || byName("BA_d").maxIn > 50)
   }
 
   test("BA_s has larger average distance than BA_d (paper: 7.22 vs 2.50)") {
-    val byName = stats.map(s => s.name -> s).toMap
+    val byName = stats
     assert(byName("BA_s").avgDistance > byName("BA_d").avgDistance)
   }
 }

@@ -1,29 +1,17 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{Instances, SweepStore, Tables}
+import repro.exp.Tables
 
 /** Reproduces paper Table 4: top-3 single-vertex influence spreads on BA_s
   * and BA_d under the four probability models.
   */
 class Table4TopInfluenceBench extends SparkSpec {
 
-  private lazy val rows: Map[(String, String), Seq[Double]] = {
-    val out = for {
-      spec <- Seq(Instances.baS, Instances.baD)
-      model <- Tables.models
-    } yield {
-      val oracle = SweepStore.oracle(spark, spec, model)
-      (spec.name, model.name) -> Tables.table4Row(oracle)
-    }
-    out.toMap
-  }
+  private lazy val rows = Tables.table4Cells(spark)
 
   test("print Table 4 rows") {
-    println("[table4] network  model    Inf(v1)    Inf(v2)    Inf(v3)")
-    for (((net, model), top) <- rows.toSeq.sortBy(r => (r._1._1, r._1._2))) {
-      println(f"[table4] $net%-8s $model%-7s ${top(0)}%9.4f ${top(1)}%9.4f ${top(2)}%9.4f")
-    }
+    Tables.render(4, Tables.table4Lines(rows)).foreach(println)
     assert(rows.size == 8)
   }
 

@@ -1,39 +1,23 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{BenchPlan, SweepStore, Tables}
-import repro.spark.Alg
+import repro.exp.Tables
 
 /** Reproduces paper Table 5: least sample number (log₂) and entropy at
   * which each algorithm reaches 0.95-near-optimality with probability 99%.
   */
 class Table5LeastSampleBench extends SparkSpec {
 
-  private lazy val rows = BenchPlan.sweepRows.filterNot(_.network.starred)
-
-  private lazy val cells: Seq[(String, String, Int, Map[String, Option[Tables.LeastSample]])] =
-    rows.map { row =>
-      val sweep = SweepStore.sweep(spark, row)
-      val m = Seq(Alg.OneshotAlg, Alg.SnapshotAlg, Alg.RisAlg)
-        .map(a => a.name -> Tables.table5Cell(sweep, a)).toMap
-      (row.network.name, row.model.name, row.k, m)
-    }
+  private lazy val cells = Tables.table5Cells(spark)
 
   test("print Table 5 rows") {
-    println("[table5] network        prob     k | lg b*    H* | lg t*    H* | lg th*   H*")
-    cells.foreach { case (net, model, k, m) =>
-      def c(alg: String) = m(alg) match {
-        case Some(ls) => f"${ls.log2SampleNumber}%5d ${ls.entropy}%5.2f"
-        case None     => f"${">max"}%5s ${"-"}%5s"
-      }
-      println(f"[table5] $net%-14s $model%-7s $k%2d | ${c("Oneshot")} | ${c("Snapshot")} | ${c("RIS")}")
-    }
+    Tables.render(5, Tables.table5Lines(cells)).foreach(println)
     assert(cells.nonEmpty)
   }
 
   test("RIS needs more samples than Snapshot wherever both are defined (paper shape)") {
     val comparable = for {
-      (_, _, _, m) <- cells
+      m <- cells.values
       r <- m("RIS"); s <- m("Snapshot")
     } yield r.log2SampleNumber >= s.log2SampleNumber
     assert(comparable.nonEmpty)
@@ -43,7 +27,7 @@ class Table5LeastSampleBench extends SparkSpec {
 
   test("Oneshot never needs fewer samples than half of Snapshot's") {
     val diffs = for {
-      (_, _, _, m) <- cells
+      m <- cells.values
       o <- m("Oneshot"); s <- m("Snapshot")
     } yield o.log2SampleNumber - s.log2SampleNumber
     assert(diffs.nonEmpty)
@@ -52,19 +36,19 @@ class Table5LeastSampleBench extends SparkSpec {
   }
 
   test("the required sample number varies widely across instances (paper finding)") {
-    val snap = cells.flatMap(_._4("Snapshot")).map(_.log2SampleNumber)
+    val snap = cells.values.flatMap(_("Snapshot")).map(_.log2SampleNumber)
     assert(snap.nonEmpty)
     assert(snap.max - snap.min >= 3,
            s"τ* spans only [${snap.min}, ${snap.max}]")
   }
 
   test("Karate (UC0.1, k=1) resolves within the grid for every algorithm") {
-    val (_, _, _, m) = cells.find(c => c._1 == "Karate" && c._2 == "UC0.1" && c._3 == 1).get
+    val m = cells(("Karate", "UC0.1", 1))
     assert(m("Oneshot").isDefined && m("Snapshot").isDefined && m("RIS").isDefined)
   }
 
   test("entropy at the least sample number need not be 0 (paper remark)") {
-    val entropies = cells.flatMap(_._4.values.flatten).map(_.entropy)
+    val entropies = cells.values.flatMap(_.values.flatten).map(_.entropy)
     assert(entropies.exists(_ > 0.5), "all H* were ~0 — near-optimality should precede degeneracy")
   }
 }

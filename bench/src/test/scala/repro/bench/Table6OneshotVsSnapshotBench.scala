@@ -1,29 +1,17 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{BenchPlan, SweepStore, Tables}
+import repro.exp.Tables
 
 /** Reproduces paper Table 6: median comparable number ratio of Oneshot to
   * Snapshot.
   */
 class Table6OneshotVsSnapshotBench extends SparkSpec {
 
-  private lazy val rows = BenchPlan.sweepRows.filter(_.cfg.oneshotMax > 0)
-
-  private lazy val cells: Map[(String, String, Int), Option[Double]] =
-    rows.map { row =>
-      (row.network.name, row.model.name, row.k) ->
-        Tables.table6Cell(SweepStore.sweep(spark, row))
-    }.toMap
+  private lazy val cells = Tables.table6Cells(spark)
 
   test("print Table 6 rows") {
-    val keys = rows.map(r => (r.network.name, r.k)).distinct
-    println("[table6] network         k    UC0.1   UC0.01      IWC      OWC")
-    keys.foreach { case (net, k) =>
-      val c = Seq("UC0.1", "UC0.01", "IWC", "OWC")
-        .map(m => Tables.fmtOpt(cells.getOrElse((net, m, k), None)))
-      println(f"[table6] $net%-14s $k%2d ${c(0)}%8s ${c(1)}%8s ${c(2)}%8s ${c(3)}%8s")
-    }
+    Tables.render(6, Tables.table6Lines(cells)).foreach(println)
     assert(cells.nonEmpty)
   }
 
@@ -46,7 +34,7 @@ class Table6OneshotVsSnapshotBench extends SparkSpec {
 
   test("the ratio tends to grow with the seed size k (paper finding)") {
     // Compare k=1 vs k=16 medians across networks that have both.
-    val nets = rows.map(_.network.name).distinct
+    val nets = cells.keys.map(_._1).toSeq.distinct
     val grew = for {
       net <- nets
       lo = Seq("UC0.1", "UC0.01", "IWC", "OWC").flatMap(m => cells.getOrElse((net, m, 1), None))

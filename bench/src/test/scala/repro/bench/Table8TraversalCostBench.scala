@@ -1,32 +1,18 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{BenchPlan, Instances, Tables}
-import repro.spark.Alg
+import repro.exp.{Instances, Tables}
+import repro.graphs.ProbModel
 
 /** Reproduces paper Table 8: average per-sample traversal cost (vertex and
   * edge counts) at k = 1 and sample number 1.
   */
 class Table8TraversalCostBench extends SparkSpec {
 
-  private lazy val cells: Map[(String, String, String), Tables.PerSampleCost] = {
-    val out = for {
-      row <- BenchPlan.table8Rows
-      alg <- if (row.withOneshot) Alg.all else Seq(Alg.SnapshotAlg, Alg.RisAlg)
-      model <- row.models
-    } yield {
-      val g = Instances.influenceGraph(row.network, model)
-      (row.network.name, alg.name, model.name) ->
-        Tables.table8Cell(spark, g, alg, row.trials)
-    }
-    out.toMap
-  }
+  private lazy val cells = Tables.table8Cells(spark)
 
   test("print Table 8 rows") {
-    println("[table8] network        alg       model        vertex          edge")
-    cells.toSeq.sortBy(_._1.toString).foreach { case ((net, alg, model), c) =>
-      println(f"[table8] $net%-14s $alg%-9s $model%-7s ${c.vertex}%13.1f ${c.edge}%13.1f")
-    }
+    Tables.render(8, Tables.table8Lines(cells)).foreach(println)
     assert(cells.nonEmpty)
   }
 
@@ -60,7 +46,7 @@ class Table8TraversalCostBench extends SparkSpec {
       ((net, alg, model), c) <- cells.toSeq if alg == "Oneshot"
       s <- cells.get((net, "Snapshot", model))
       g = Instances.influenceGraph(Instances.byName(net),
-            Tables.models.find(_.name == model).get)
+            ProbModel.all.find(_.name == model).get)
     } yield (net, model, s.edge / c.edge, g.mTilde / g.m)
     assert(checks.nonEmpty)
     val ok = checks.count { case (_, _, got, expect) =>

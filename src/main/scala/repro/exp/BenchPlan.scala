@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.graphs.ProbModel
-import repro.spark.RRSetJob
+import repro.spark.{Alg, RRSetJob, TrialRunner}
 import scala.collection.concurrent.TrieMap
 
 /** One sweep row: (network, probability model, seed size) plus the scaled
@@ -13,6 +13,7 @@ import scala.collection.concurrent.TrieMap
 final case class SweepRow(network: NetworkSpec, model: ProbModel, k: Int,
                           cfg: Sweep.Config) {
   def id: String = s"${network.name}/${model.name}/k=$k"
+  def key: (String, String, Int) = (network.name, model.name, k)
 }
 
 /** The scoped experiment plan shared by `jobs/` and `bench/`. */
@@ -79,9 +80,6 @@ object BenchPlan {
     rows.result()
   }
 
-  def sweepRowsFor(networkName: String): Seq[SweepRow] =
-    sweepRows.filter(_.network.name == networkName)
-
   def sweepRow(networkName: String, modelName: String, k: Int): Option[SweepRow] =
     sweepRows.find(r => r.network.name == networkName &&
                         r.model.name == modelName && r.k == k)
@@ -91,7 +89,9 @@ object BenchPlan {
     * runs no Oneshot at all on the large ones.
     */
   final case class Table8Row(network: NetworkSpec, models: Seq[ProbModel],
-                             withOneshot: Boolean, trials: Int)
+                             withOneshot: Boolean, trials: Int) {
+    def algs: Seq[Alg] = if (withOneshot) Alg.all else Seq(Alg.SnapshotAlg, Alg.RisAlg)
+  }
 
   val table8Rows: Seq[Table8Row] = Seq(
     Table8Row(karate, allModels, withOneshot = true, trials = 200),
@@ -103,6 +103,9 @@ object BenchPlan {
     Table8Row(baS, allModels, withOneshot = true, trials = 200),
     Table8Row(baD, allModels, withOneshot = true, trials = 100),
   )
+
+  /** Networks of the paper's Table 4. */
+  val table4Networks: Seq[NetworkSpec] = Seq(baS, baD)
 
   /** Networks of the paper's Table 9 (derived at k = 1). */
   val table9Networks: Seq[NetworkSpec] =
@@ -116,11 +119,12 @@ object BenchPlan {
 }
 
 /** Process-wide caches so the table suites (which share sweep rows) compute
-  * each sweep and each oracle exactly once per JVM.
+  * each sweep, each oracle and each per-sample cost exactly once per JVM.
   */
 object SweepStore {
   private val oracles = TrieMap.empty[(String, String), RRSetJob]
   private val sweeps = TrieMap.empty[String, Sweep.Result]
+  private val costs = TrieMap.empty[(String, String, String), Tables.PerSampleCost]
 
   /** Shared RR-set oracle for one (network, model) influence graph. */
   def oracle(spark: SparkSession, spec: NetworkSpec, model: ProbModel): RRSetJob =
@@ -134,5 +138,18 @@ object SweepStore {
     sweeps.getOrElseUpdate(row.id, {
       val g = Instances.influenceGraph(row.network, row.model)
       Sweep.run(spark, g, oracle(spark, row.network, row.model), row.k, row.cfg)
+    })
+
+  /** Table 8 cell of one plan row: the average traversal cost of `trials`
+    * greedy runs of `alg` at k = 1 with sample number 1.
+    */
+  def perSampleCost(spark: SparkSession, row: BenchPlan.Table8Row, alg: Alg,
+                    model: ProbModel): Tables.PerSampleCost =
+    costs.getOrElseUpdate((row.network.name, alg.name, model.name), {
+      val g = Instances.influenceGraph(row.network, model)
+      val rows = TrialRunner.runCollect(spark, g, alg, sampleNumber = 1, k = 1,
+                                        trials = row.trials, baseSeed = 88L)
+      Tables.PerSampleCost(rows.map(_.vertex_cost.toDouble).sum / rows.size,
+                           rows.map(_.edge_cost.toDouble).sum / rows.size)
     })
 }

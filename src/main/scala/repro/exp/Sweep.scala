@@ -65,6 +65,7 @@ object Sweep {
     * (`refTheta`). Returns the canonical seed-set key.
     */
   def referenceSeedSet(g: LocalGraph, k: Int, refTheta: Long, seed: Long): Seq[Int] = {
+    require(refTheta <= Int.MaxValue, s"refTheta = $refTheta does not fit in an Int")
     val est = new Ris(g, refTheta.toInt)
     val rng = new SplittableRandom(seed)
     Greedy.run(g.n, k, est, rng).seeds.sorted.toSeq
@@ -77,6 +78,10 @@ object Sweep {
           cfg: Config): Result = {
     require(oracle.g.n == g.n && oracle.g.m == g.m,
             "oracle must be built on the same influence graph")
+    // Grid points and refTheta become Int sample numbers; check them before
+    // the first job.
+    for (max <- Seq(cfg.oneshotMax, cfg.snapshotMax, cfg.risMax, cfg.refTheta))
+      require(max <= Int.MaxValue, s"sample number $max does not fit in an Int: $cfg")
     val grids: Seq[(Alg, Seq[Long])] = Seq(
       Alg.OneshotAlg -> powersOfTwo(cfg.oneshotMax),
       Alg.SnapshotAlg -> powersOfTwo(cfg.snapshotMax),

@@ -18,6 +18,9 @@ import repro.graphs.LocalGraph
   */
 final class RRSetJob(spark: SparkSession, val g: LocalGraph, val theta: Long,
                      seed: Long) {
+  // RR-set ids and the stamp array of influenceOfSets are Ints.
+  require(theta <= Int.MaxValue, s"theta = $theta does not fit in an Int")
+
   import spark.implicits._
 
   /** RR-set membership (rr_id, vertex), cached for repeated evaluation. */

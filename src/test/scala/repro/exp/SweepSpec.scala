@@ -109,4 +109,15 @@ class SweepSpec extends SparkSpec {
     assert(r2.curve(Alg.OneshotAlg).isEmpty)
     assert(r2.curve(Alg.SnapshotAlg).nonEmpty)
   }
+
+  test("sample numbers beyond Int.MaxValue are rejected before any job") {
+    val tooBig = Int.MaxValue + 1L
+    val cfgs = Seq(
+      Sweep.Config(trials = 1, oneshotMax = 0, snapshotMax = 0, risMax = tooBig, risMin = tooBig),
+      Sweep.Config(trials = 1, oneshotMax = 0, snapshotMax = 0, risMax = 1, refTheta = tooBig))
+    cfgs.foreach(c => intercept[IllegalArgumentException](Sweep.run(spark, g, oracle, 1, c)))
+    // 2³² + 16 would wrap to θ = 16 as an Int and run silently.
+    for (refTheta <- Seq(tooBig, (1L << 32) + 16))
+      intercept[IllegalArgumentException](Sweep.referenceSeedSet(g, 1, refTheta, seed = 5))
+  }
 }

@@ -1,7 +1,10 @@
 package repro.exp
 
+import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
+import repro.jobs.Table
 import repro.spark.Alg
+import scala.collection.immutable.SeqMap
 
 class TablesSpec extends AnyFunSuite {
 
@@ -76,11 +79,6 @@ class TablesSpec extends AnyFunSuite {
     assert(Tables.fmt(3.5) == "3.500")
   }
 
-  test("fmtOpt renders None as dash") {
-    assert(Tables.fmtOpt(None) == "-")
-    assert(Tables.fmtOpt(Some(2.0)) == "2")
-  }
-
   test("curve extraction filters by algorithm and sorts by sample number") {
     val sweep = syntheticSweep()
     val c = sweep.curve(Alg.RisAlg)
@@ -93,5 +91,39 @@ class TablesSpec extends AnyFunSuite {
     val rc = sweep.ratioCurve(Alg.SnapshotAlg)
     assert(rc.head.meanSampleSize == 50.0)
     assert(rc.last.sampleNumber == 128L)
+  }
+
+  test("render prints the header, then one aligned row per line, with - for None") {
+    val out = Tables.render(8, Tables.table8Lines(SeqMap(
+      ("Karate", "RIS", "IWC") -> Tables.PerSampleCost(3.94, 25.87),
+      ("BA_d", "Oneshot", "UC0.1") -> Tables.PerSampleCost(145005.0, 2030196.04))))
+    assert(out.map(_.split(" +").toSeq) == Seq(
+      Seq("[table8]", "network", "alg", "model", "vertex", "edge"),
+      Seq("[table8]", "Karate", "RIS", "IWC", "3.9", "25.9"),
+      Seq("[table8]", "BA_d", "Oneshot", "UC0.1", "145005.0", "2030196.0")))
+    assert(out.map(_.length).distinct.size == 1, out.mkString("\n"))
+    val row = Tables.render(4, Seq(Tables.Line(Seq("BA_s", "OWC"), Seq(Some("5.6400"), None, None))))(1)
+    assert(row.split(" +").toSeq == Seq("[table4]", "BA_s", "OWC", "5.6400", "-", "-"))
+  }
+
+  test("model-column tables pivot one row per (network, k) and print - for missing cells") {
+    val out = Tables.render(6, Tables.table6Lines(SeqMap(
+      ("Karate", "UC0.1", 1) -> Some(2.0),
+      ("Karate", "IWC", 1) -> None,
+      ("BA_s", "OWC", 16) -> Some(8.0))))
+    assert(out.map(_.split(" +").toSeq) == Seq(
+      Seq("[table6]", "network", "k", "UC0.1", "UC0.01", "IWC", "OWC"),
+      Seq("[table6]", "Karate", "1", "2", "-", "-", "-"),
+      Seq("[table6]", "BA_s", "16", "-", "-", "-", "8")))
+  }
+
+  test("the table entry point accepts 3 to 9 and rejects anything else before starting Spark") {
+    assert((3 to 9).map(n => Table.parse(Array(n.toString))) == (3 to 9))
+    val before = SparkSession.getDefaultSession
+    for (args <- Seq(Array("10"), Array("2"), Array("eight"), Array.empty[String], Array("8", "9"))) {
+      val e = intercept[IllegalArgumentException](Table.main(args))
+      assert(e.getMessage.startsWith("usage: Table"))
+    }
+    assert(SparkSession.getDefaultSession == before)
   }
 }

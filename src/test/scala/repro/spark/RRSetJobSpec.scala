@@ -115,4 +115,9 @@ class RRSetJobSpec extends SparkSpec {
         repro.exp.Sweep.Config(trials = 1, oneshotMax = 1, snapshotMax = 1, risMax = 1))
     }
   }
+
+  test("theta beyond Int.MaxValue is rejected before anything is built") {
+    val e = intercept[IllegalArgumentException](new RRSetJob(spark, tiny, Int.MaxValue + 1L, 1))
+    assert(e.getMessage.contains("theta"))
+  }
 }
